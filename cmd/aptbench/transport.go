@@ -269,8 +269,9 @@ func allReduceBench() ([]arSeries, error) {
 	return out, nil
 }
 
-// allReduceSecPerOp times one configuration. Every rank loops
-// AllReduceCodec over its own arElems-value matrix; the clock covers
+// allReduceSecPerOp times one configuration. Every rank loops one
+// allreduce of its own arElems-value matrix — the ring data plane, or
+// the naive foil (AllGather plus a local sum); the clock covers
 // all ranks completing arIters lockstep ops (one untimed warmup op
 // absorbs connection and pool cold starts).
 //
@@ -287,9 +288,6 @@ func allReduceSecPerOp(world int, backend, algo, codecName string) (float64, err
 	switch backend {
 	case "channel":
 		c := comm.New(device.NewGroup(p))
-		if algo == "naive" {
-			c.Algo = comm.AlgoNaive
-		}
 		for r := range comms {
 			comms[r] = c
 		}
@@ -312,9 +310,6 @@ func allReduceSecPerOp(world int, backend, algo, codecName string) (float64, err
 				trs[r], errs[r] = transport.NewTCP(opts)
 				if errs[r] == nil {
 					comms[r] = comm.NewWithTransport(device.NewGroup(p), trs[r])
-					if algo == "naive" {
-						comms[r].Algo = comm.AlgoNaive
-					}
 				}
 			}(r)
 		}
@@ -338,9 +333,22 @@ func allReduceSecPerOp(world int, backend, algo, codecName string) (float64, err
 				for i := range mat.Data {
 					mat.Data[i] = float32(r+1) * float32(i%17)
 				}
+				sum := tensor.Get(1, arElems)
 				for it := 0; it < iters; it++ {
-					tensor.Put(comms[r].AllReduceCodec(r, "bench", mat, 0, codec))
+					if algo == "naive" {
+						// The foil: full-mesh gather of the whole vector
+						// plus a local sum (~C×V per rank on the wire).
+						parts, _ := comms[r].AllGather(r, comm.Payload{Mat: mat})
+						sum.Zero()
+						for _, part := range parts {
+							sum.AddInPlace(part.Mat)
+						}
+					} else {
+						copy(sum.Data, mat.Data)
+						comms[r].RingAllReduceData(r, sum.Data, codec)
+					}
 				}
+				tensor.Put(sum)
 				tensor.Put(mat)
 			}(r)
 		}

@@ -169,8 +169,8 @@ func (r *Reach) Get(fn *types.Func) (ReachInfo, bool) {
 
 // Path returns the witness call chain from fn (exclusive) down to the
 // matched target (inclusive), as function names — e.g. for
-// computeStep→syncGradients→AllReduceCodec it returns
-// ["syncGradients", "AllReduceCodec"]. Empty when fn is not a reacher.
+// computeStep→syncGradients→RingAllReduceData it returns
+// ["syncGradients", "RingAllReduceData"]. Empty when fn is not a reacher.
 func (r *Reach) Path(fn *types.Func) []string {
 	var out []string
 	cur := fn

@@ -2,11 +2,11 @@
 // rank-divergent control flow — the classic divergent-collective
 // deadlock.
 //
-// Every collective (AllReduce*, AllGather*, AllToAll*, Barrier,
-// AnyTrue, RingAllReduceData) is a rendezvous: each rank must issue
-// the same collective sequence or the world deadlocks — rank 0 waits
-// in a Barrier no one else entered, everyone else waits in the next
-// AllReduce rank 0 never reaches. The two ways repos grow this bug:
+// Every data-plane collective (AllToAll, AllGather, RingAllReduceData,
+// Barrier, AnyTrue) is a rendezvous: each rank must issue the same
+// collective sequence or the world deadlocks — rank 0 waits in a
+// Barrier no one else entered, everyone else waits in the next
+// allreduce rank 0 never reaches. The two ways repos grow this bug:
 //
 //   - a branch whose condition depends on the process's rank
 //     (`if rank == 0 { barrier() }`, `if c.Rank() != 0 { ... }`)
@@ -18,7 +18,7 @@
 //     orders, which interleaves payloads across different operations.
 //
 // The analyzer uses the module call graph (Pass.Graph) to follow
-// helpers: the branch body doesn't need to name AllReduce — calling
+// helpers: the branch body doesn't need to name a collective — calling
 // anything from which a collective is reachable is flagged, with the
 // witness path in the message. Rank-dependence is syntactic: the
 // condition mentions an identifier or selector whose name begins or
@@ -45,17 +45,13 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// collectiveNames are the comm package's rendezvous operations. Note
-// AllReduceModel is NOT one: it is the cost-model query (pure local
-// arithmetic), which is precisely why the set is explicit instead of a
-// prefix match.
+// collectiveNames are the comm package's rendezvous operations: its
+// data plane. The pricing path (Charge and friends) is NOT one: it is
+// local arithmetic on the device's own clock, which is precisely why
+// the set is explicit instead of matching every comm method.
 var collectiveNames = map[string]bool{
-	"AllReduce":         true,
-	"AllReduceCodec":    true,
 	"AllGather":         true,
-	"AllGatherNoCharge": true,
 	"AllToAll":          true,
-	"AllToAllNoCharge":  true,
 	"Barrier":           true,
 	"AnyTrue":           true,
 	"RingAllReduceData": true,

@@ -18,7 +18,7 @@ func (e *engine) bad1() {
 
 // sync is a rank-uniform helper on its own; the bug is calling it
 // under a rank guard.
-func (e *engine) sync() { e.c.AllReduce(0, nil) }
+func (e *engine) sync() { e.c.RingAllReduceData(0, nil) }
 
 func (e *engine) bad2() {
 	if e.cfg.LocalRank != 0 {
@@ -39,7 +39,7 @@ func (e *engine) bad3(rank int) {
 // random, so ranks interleave their sequences differently.
 func (e *engine) bad4(peers map[int][]float32) {
 	for p := range peers {
-		e.c.AllReduce(p, nil) // want "map-range body"
+		e.c.RingAllReduceData(p, nil) // want "map-range body"
 	}
 }
 
@@ -59,10 +59,19 @@ func (e *engine) good1(step int) {
 	}
 }
 
-// The cost-model query is local arithmetic, not a rendezvous.
+// Pricing is local arithmetic, not a rendezvous.
 func (e *engine) good2(rank int) {
 	if rank == 0 {
-		_ = e.c.AllReduceModel(8)
+		_ = e.c.Charge(0, "train", comm.Op{Name: "allreduce"})
+	}
+}
+
+// Under one rank guard, the Charge is fine but the data-plane call
+// that produced its Op is still a divergent rendezvous.
+func (e *engine) bad6(rank int, outs []comm.Payload) {
+	if rank == 0 {
+		_, op := e.c.AllToAll(0, outs) // want "collective AllToAll issued under rank-dependent branch"
+		e.c.Charge(0, "shuffle", op)
 	}
 }
 

@@ -1,9 +1,15 @@
 // Package comm implements the communication layer of the unified
 // execution engine: the collectives the paper's strategies insert at
 // DGL kernel barriers (AllToAll, AllBroadcast/AllGather, AllReduce) as
-// message exchanges between device goroutines, with every payload's
-// bytes charged to the simulated device clocks using the platform's
-// link model and recorded in a volume ledger for the cost models.
+// message exchanges between device goroutines.
+//
+// The package has two parts. The data plane (this file and ring.go)
+// moves payloads and never touches the simulated clocks: AllToAll and
+// AllGather return an Op record of the bytes they exchanged with each
+// peer. The pricing path (price.go) is the only code that turns an Op
+// into simulated seconds with the platform's link model, charges them
+// to a device stage clock, records the bytes in a volume ledger for
+// the cost models, and emits the comm span.
 //
 // Collectives are synchronous: every device of the group must call the
 // same sequence of collectives (the engine runs devices in lockstep per
@@ -11,7 +17,7 @@
 // (transport.go): on the default in-process backend payload matrices
 // move by reference — the "wire" is a Go channel — while the TCP
 // backend in package transport serializes them across real sockets
-// between rank processes. Either way timing is charged as if the bytes
+// between rank processes. Either way Charge prices the bytes as if they
 // crossed the platform's PCIe/NVLink/network links, so the planner's
 // accounting is backend-independent.
 package comm
@@ -21,7 +27,6 @@ import (
 	"sync"
 
 	"repro/internal/device"
-	"repro/internal/hardware"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 )
@@ -58,16 +63,13 @@ type Comm struct {
 	n      int
 	tr     Transport
 	// Spans, when non-nil, holds one observability track per device on
-	// which every collective emits a span (operator name, bytes moved,
-	// charged seconds). Spans[dev] is only touched from dev's own
+	// which every charged collective emits a span (operator name, bytes
+	// moved, charged seconds). Spans[dev] is only touched from dev's own
 	// goroutine. SpanBase, when non-nil, offsets span start times (the
 	// engine advances it between epochs); it is only written while no
 	// device goroutines run.
 	Spans    []*obs.Track
 	SpanBase *float64
-	// Algo selects the AllReduce data plane (ring by default; naive
-	// full-mesh kept for benchmarking). Set before goroutines run.
-	Algo AllReduceAlgo
 	// ring holds per-rank ring-allreduce scratch; ring[dev] is only
 	// touched from dev's own goroutines (see ringState).
 	ring []*ringState
@@ -100,85 +102,58 @@ func (c *Comm) Transport() Transport { return c.tr }
 // NumDevices returns the group size.
 func (c *Comm) NumDevices() int { return c.n }
 
-// chargePairwise charges device dev for a pairwise exchange where
-// sendTo[j]/recvFrom[j] bytes move between dev and each peer j. The
-// device's link serializes its byte volume per link kind, but the
-// per-message latencies of concurrent peer connections pipeline, so
-// latency is charged once per link kind used; send and receive overlap
-// (full duplex), so the charge is the max of the two directions.
-func (c *Comm) chargePairwise(dev int, stage, op string, sendTo, recvFrom []int64) {
-	p := c.Group.Platform
-	var sendBytes, recvBytes [4]int64 // indexed by hardware.LinkKind
+// AllToAll exchanges outs[j] (destined to device j) among all devices
+// and returns the payloads received by dev (indexed by sender), plus
+// the Op record Charge prices. The paper's strategies use it to ship
+// subgraphs (SNP/DNP Shuffle) and hidden embeddings (Reshuffle).
+func (c *Comm) AllToAll(dev int, outs []Payload) ([]Payload, Op) {
 	for j := 0; j < c.n; j++ {
-		if j == dev {
-			continue
+		if j != dev {
+			c.tr.Send(dev, j, outs[j])
 		}
-		kind := p.InterconnectKind(dev, j)
-		if sendTo[j] > 0 {
-			sendBytes[kind] += sendTo[j]
-			c.Ledger.Add(op, kind, sendTo[j])
+	}
+	in := c.recvAll(dev, outs[dev])
+	op := c.newOp(opAllToAll)
+	for j := 0; j < c.n; j++ {
+		if j != dev {
+			op.SendTo[j] = outs[j].SizeBytes()
+			op.RecvFrom[j] = in[j].SizeBytes()
 		}
-		recvBytes[kind] += recvFrom[j]
 	}
-	dirTime := func(bytes [4]int64) float64 {
-		var t float64
-		for kind := hardware.LinkKind(0); int(kind) < len(bytes); kind++ {
-			if bytes[kind] == 0 {
-				continue
-			}
-			conc := 1
-			if kind == hardware.LinkNetwork {
-				conc = p.GPUsPerMachine // machine NIC shared by its GPUs
-			}
-			t += p.TransferTime(kind, bytes[kind], conc)
-		}
-		return t
-	}
-	t := dirTime(sendBytes)
-	if rt := dirTime(recvBytes); rt > t {
-		t = rt
-	}
-	var wire int64
-	for kind := range sendBytes {
-		wire += sendBytes[kind] + recvBytes[kind]
-	}
-	c.chargeWithSpan(dev, stage, op, t, wire)
+	return in, op
 }
 
-// chargeWithSpan charges secs to the device's stage clock and, when
-// observability is on, records the collective as a span on the
-// device's comm track. The span sits on the device's compute-side
-// serialized clock — the cumulative build/load/train/shuffle time when
-// the collective started. Collectives only charge those stages, and
-// they are owned serially by the device's compute goroutine, so the
-// axis is strictly monotone and independent of how a concurrent
-// prefetcher interleaves sample-clock charges.
-func (c *Comm) chargeWithSpan(dev int, stage, op string, secs float64, bytes int64) {
-	d := c.Group.Devices[dev]
-	if c.Spans == nil {
-		d.Charge(stage, secs)
-		return
+// AllGather broadcasts each device's payload to every other device
+// (the paper's AllBroadcast used by NFP to share layer-1 computation
+// graphs) and returns all payloads indexed by source device, plus the
+// Op record Charge prices. The single payload is broadcast directly —
+// no per-peer copies are materialized — but its Op is the AllToAll
+// that sends p to every peer, so the ledger's "alltoall" row and the
+// charge are byte-identical to that formulation.
+func (c *Comm) AllGather(dev int, p Payload) ([]Payload, Op) {
+	in := c.gather(dev, p)
+	op := c.newOp(opAllToAll)
+	sz := p.SizeBytes()
+	for j := 0; j < c.n; j++ {
+		if j != dev {
+			op.SendTo[j] = sz
+			op.RecvFrom[j] = in[j].SizeBytes()
+		}
 	}
-	start := d.Elapsed(device.StageBuild) + d.Elapsed(device.StageLoad) +
-		d.Elapsed(device.StageTrain) + d.Elapsed(device.StageShuffle)
-	d.Charge(stage, secs)
-	if c.SpanBase != nil {
-		start += *c.SpanBase
-	}
-	c.Spans[dev].Emit(op, -1, start, secs, bytes)
+	return in, op
 }
 
 // AnyTrue exchanges one boolean among all devices and returns their
 // disjunction — the collective the engine uses to agree on context
 // cancellation at step boundaries. Every device must call it at the
-// same point; no simulated time is charged.
+// same point.
 func (c *Comm) AnyTrue(dev int, v bool) bool {
 	var b int64
 	if v {
 		b = 1
 	}
 	any := false
-	for _, p := range c.AllGatherNoCharge(dev, Payload{Bytes: b}) {
+	for _, p := range c.gather(dev, Payload{Bytes: b}) {
 		if p.Bytes != 0 {
 			any = true
 		}
@@ -186,163 +161,36 @@ func (c *Comm) AnyTrue(dev int, v bool) bool {
 	return any
 }
 
-// AllToAll exchanges outs[j] (destined to device j) among all devices
-// and returns the payloads received by dev (indexed by sender). The
-// paper's strategies use it to ship subgraphs (SNP/DNP Shuffle) and
-// hidden embeddings (Reshuffle).
-func (c *Comm) AllToAll(dev int, stage string, outs []Payload) []Payload {
-	sendTo := make([]int64, c.n)
-	recvFrom := make([]int64, c.n)
-	for j := 0; j < c.n; j++ {
-		if j == dev {
-			continue
-		}
-		c.tr.Send(dev, j, outs[j])
-		sendTo[j] = outs[j].SizeBytes()
-	}
-	in := make([]Payload, c.n)
-	in[dev] = outs[dev] // local slot short-circuits
-	for j := 0; j < c.n; j++ {
-		if j == dev {
-			continue
-		}
-		in[j] = c.tr.Recv(dev, j)
-		recvFrom[j] = in[j].SizeBytes()
-	}
-	c.chargePairwise(dev, stage, "alltoall", sendTo, recvFrom)
-	return in
-}
-
-// AllGather broadcasts each device's payload to every other device
-// (the paper's AllBroadcast used by NFP to share layer-1 computation
-// graphs). Returns all payloads indexed by source device. The single
-// payload is broadcast directly — no per-peer copies are materialized —
-// but the charge math and the ledger's "alltoall" op are byte-identical
-// to the AllToAll formulation this replaced.
-func (c *Comm) AllGather(dev int, stage string, p Payload) []Payload {
-	c.broadcast(dev, p)
-	sendTo := make([]int64, c.n)
-	recvFrom := make([]int64, c.n)
-	sz := p.SizeBytes()
-	in := make([]Payload, c.n)
-	in[dev] = p
-	for j := 0; j < c.n; j++ {
-		if j == dev {
-			continue
-		}
-		sendTo[j] = sz
-		in[j] = c.tr.Recv(dev, j)
-		recvFrom[j] = in[j].SizeBytes()
-	}
-	c.chargePairwise(dev, stage, "alltoall", sendTo, recvFrom)
-	return in
-}
-
-// broadcast ships one payload to every other rank, using the
-// transport's single-serialization fast path when it has one.
-func (c *Comm) broadcast(dev int, p Payload) {
-	if b, ok := c.tr.(Broadcaster); ok {
-		b.Broadcast(dev, p)
-		return
-	}
-	for j := 0; j < c.n; j++ {
-		if j != dev {
-			c.tr.Send(dev, j, p)
-		}
-	}
-}
-
-// AllReduce sums mat element-wise across all devices and returns the
-// sum (identical, including float ordering, on every device). In
-// accounting mode mat may be nil; bytes is then the tensor wire size.
-// Timing follows the ring-allreduce model: 2·(C-1)/C · V over the
-// slowest link on the ring — and since PR 9 the data plane actually
-// moves those bytes (chunked reduce-scatter + allgather) instead of a
-// full-mesh gather-then-sum.
-func (c *Comm) AllReduce(dev int, stage string, mat *tensor.Matrix, bytes int64) *tensor.Matrix {
-	return c.AllReduceCodec(dev, stage, mat, bytes, nil)
-}
-
-// AllReduceCodec is AllReduce with an optional chunk codec compressing
-// the wire (nil = exact fp32). The returned matrix is locally owned
-// (safe to Put without a barrier); mat is never shipped by reference
-// and stays untouched. At world 1 the reduction degenerates to 0+mat,
-// matching the pre-ring bits exactly (including -0 normalization).
-func (c *Comm) AllReduceCodec(dev int, stage string, mat *tensor.Matrix, bytes int64, codec ChunkCodec) *tensor.Matrix {
-	elems := int(bytes / 4)
-	if mat != nil {
-		bytes = mat.Bytes()
-		elems = len(mat.Data)
-	}
-	var result *tensor.Matrix
-	if mat != nil {
-		switch {
-		case c.n == 1:
-			result = tensor.Get(mat.Rows, mat.Cols)
-			result.AddInPlace(mat)
-		case c.Algo == AlgoNaive:
-			result = c.allReduceNaive(dev, mat)
-		default:
-			rs := c.ringFor(dev, elems)
-			acc := rs.acc[rs.cur][:elems]
-			rs.cur = 1 - rs.cur
-			copy(acc, mat.Data)
-			bounds := chunkBounds(elems, c.n)
-			if codec == nil {
-				c.ringReduceF32(dev, rs, acc, bounds)
-			} else {
-				c.ringReduceCodec(dev, rs, acc, bounds, codec)
-			}
-			result = tensor.Get(mat.Rows, mat.Cols)
-			copy(result.Data, acc)
-		}
-	}
-	t, wire, kind := c.allReduceModel(elems, bytes, codec)
-	c.chargeWithSpan(dev, stage, "allreduce", t, wire)
-	c.Ledger.Add("allreduce", kind, wire)
-	return result
-}
-
-// AllToAllNoCharge performs the data movement of AllToAll without
-// charging simulated time; used by wire measurement (package
-// transport), where the cost of interest is wall-clock, and by tests.
-func (c *Comm) AllToAllNoCharge(dev int, outs []Payload) []Payload {
-	for j := 0; j < c.n; j++ {
-		if j == dev {
-			continue
-		}
-		c.tr.Send(dev, j, outs[j])
-	}
-	in := make([]Payload, c.n)
-	in[dev] = outs[dev]
-	for j := 0; j < c.n; j++ {
-		if j == dev {
-			continue
-		}
-		in[j] = c.tr.Recv(dev, j)
-	}
-	return in
-}
-
-// AllGatherNoCharge performs the data movement of AllGather without
-// charging simulated time; used internally by AllReduce (whose timing
-// follows the ring model, not the naive gather) and by tests.
-func (c *Comm) AllGatherNoCharge(dev int, p Payload) []Payload {
-	c.broadcast(dev, p)
-	in := make([]Payload, c.n)
-	in[dev] = p
-	for j := 0; j < c.n; j++ {
-		if j == dev {
-			continue
-		}
-		in[j] = c.tr.Recv(dev, j)
-	}
-	return in
-}
-
 // Barrier blocks until every device has reached it.
 func (c *Comm) Barrier(dev int) {
-	c.AllGatherNoCharge(dev, Payload{})
+	c.gather(dev, Payload{})
+}
+
+// gather is AllGather's data movement without the Op record.
+func (c *Comm) gather(dev int, p Payload) []Payload {
+	if b, ok := c.tr.(Broadcaster); ok {
+		b.Broadcast(dev, p)
+	} else {
+		for j := 0; j < c.n; j++ {
+			if j != dev {
+				c.tr.Send(dev, j, p)
+			}
+		}
+	}
+	return c.recvAll(dev, p)
+}
+
+// recvAll receives one payload from every peer in rank order; the
+// local slot short-circuits to own.
+func (c *Comm) recvAll(dev int, own Payload) []Payload {
+	in := make([]Payload, c.n)
+	in[dev] = own
+	for j := 0; j < c.n; j++ {
+		if j != dev {
+			in[j] = c.tr.Recv(dev, j)
+		}
+	}
+	return in
 }
 
 // RunParallel launches fn once per device on its own goroutine and

@@ -26,7 +26,7 @@ func TestAllToAllDelivery(t *testing.T) {
 		for j := 0; j < n; j++ {
 			outs[j] = Payload{Ints: []int32{int32(dev*100 + j)}}
 		}
-		in := c.AllToAll(dev, device.StageShuffle, outs)
+		in, _ := c.AllToAll(dev, outs)
 		mu.Lock()
 		got[dev] = in
 		mu.Unlock()
@@ -51,7 +51,8 @@ func TestAllToAllChargesTime(t *testing.T) {
 				outs[j] = Payload{Bytes: 12_000_000} // 12MB to each peer
 			}
 		}
-		c.AllToAll(dev, device.StageShuffle, outs)
+		_, op := c.AllToAll(dev, outs)
+		c.Charge(dev, device.StageShuffle, op)
 	})
 	// 36MB over 12GB/s PCIe = ~3ms.
 	for _, d := range g.Devices {
@@ -77,7 +78,8 @@ func TestCrossMachineCostsMore(t *testing.T) {
 					outs[j] = Payload{Bytes: 1 << 22}
 				}
 			}
-			c.AllToAll(dev, device.StageShuffle, outs)
+			_, op := c.AllToAll(dev, outs)
+			c.Charge(dev, device.StageShuffle, op)
 		})
 		return g.StageMax(device.StageShuffle)[device.StageShuffle]
 	}
@@ -96,9 +98,9 @@ func TestAllReduceSum(t *testing.T) {
 		for i := range m.Data {
 			m.Data[i] = float32(dev + 1)
 		}
-		r := c.AllReduce(dev, device.StageTrain, m, 0)
+		c.RingAllReduceData(dev, m.Data, nil)
 		mu.Lock()
-		results[dev] = r
+		results[dev] = m
 		mu.Unlock()
 	})
 	for dev, r := range results {
@@ -122,7 +124,7 @@ func TestAllGather(t *testing.T) {
 	var mu sync.Mutex
 	got := make([][]Payload, 3)
 	RunParallel(3, func(dev int) {
-		in := c.AllGather(dev, device.StageBuild, Payload{Ints: []int32{int32(dev)}})
+		in, _ := c.AllGather(dev, Payload{Ints: []int32{int32(dev)}})
 		mu.Lock()
 		got[dev] = in
 		mu.Unlock()
@@ -145,9 +147,12 @@ func TestSequentialCollectivesNoDeadlock(t *testing.T) {
 			for j := range outs {
 				outs[j] = Payload{Bytes: 1}
 			}
-			c.AllToAll(dev, "s", outs)
-			c.AllGather(dev, "s", Payload{Bytes: 1})
-			c.AllReduce(dev, "s", nil, 64)
+			_, op := c.AllToAll(dev, outs)
+			c.Charge(dev, "s", op)
+			_, op = c.AllGather(dev, Payload{Bytes: 1})
+			c.Charge(dev, "s", op)
+			c.RingAllReduceData(dev, make([]float32, 16), nil)
+			c.Charge(dev, "s", AllReduceOp(16, nil))
 			c.Barrier(dev)
 		}
 	})
@@ -249,4 +254,33 @@ func TestStageMaxAndReset(t *testing.T) {
 	if g.StageMax("a")["a"] != 0 {
 		t.Error("ResetClocks failed")
 	}
+}
+
+// BenchmarkAllToAll and BenchmarkAllGather measure one charged
+// collective round on 4 in-process devices; allocs/op counts all four
+// devices' allocations.
+func BenchmarkAllToAll(b *testing.B) {
+	c, _ := newTestComm(hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 4))
+	b.ReportAllocs()
+	RunParallel(4, func(dev int) {
+		outs := make([]Payload, 4)
+		for j := range outs {
+			outs[j] = Payload{Bytes: 1 << 10}
+		}
+		for i := 0; i < b.N; i++ {
+			_, op := c.AllToAll(dev, outs)
+			c.Charge(dev, device.StageShuffle, op)
+		}
+	})
+}
+
+func BenchmarkAllGather(b *testing.B) {
+	c, _ := newTestComm(hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 4))
+	b.ReportAllocs()
+	RunParallel(4, func(dev int) {
+		for i := 0; i < b.N; i++ {
+			_, op := c.AllGather(dev, Payload{Bytes: 1 << 10})
+			c.Charge(dev, device.StageBuild, op)
+		}
+	})
 }

@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"repro/internal/device"
-	"repro/internal/hardware"
-)
+import "repro/internal/hardware"
 
 // Profile holds the measured effective speeds of the communication
 // operators on a platform — the output of the paper's Prepare-step
@@ -47,9 +44,10 @@ type Profile struct {
 // large enough that per-message latency is amortized realistically.
 const trialBytes = 16 << 20
 
-// MeasureProfile runs one bandwidth trial per operator through the
-// communication fabric (accounting mode: no real floats move) and
-// derives effective speeds from the simulated clocks.
+// MeasureProfile derives each operator's effective speed from the
+// pricing path: a trial's time is the slowest device's cost, under
+// Charge's model, of a synthesised Op of that operator (accounting
+// mode: nothing moves).
 func MeasureProfile(p *hardware.Platform) *Profile {
 	prof := &Profile{
 		UVAReadBps:  p.Bandwidth[hardware.LinkPCIe],
@@ -71,62 +69,36 @@ func MeasureProfile(p *hardware.Platform) *Profile {
 		return prof
 	}
 
-	// AllToAll trial: uniform traffic, trialBytes per device total.
-	g := device.NewGroup(p)
-	c := New(g)
-	per := int64(trialBytes / (n - 1))
-	RunParallel(n, func(dev int) {
-		outs := make([]Payload, n)
-		for j := range outs {
-			if j != dev {
-				outs[j] = Payload{Bytes: per}
+	slowest := func(op Op) float64 {
+		var mx float64
+		for dev := 0; dev < n; dev++ {
+			if s := price(p, n, dev, op).secs; s > mx {
+				mx = s
 			}
 		}
-		c.AllToAll(dev, "trial", outs)
-	})
-	prof.AllToAllBps = float64(per*int64(n-1)) / maxStage(g, "trial")
+		return mx
+	}
+	// uniform is the pairwise Op in which every device sends and
+	// receives per bytes to and from each peer; AllGather of a
+	// per-byte payload is this same Op.
+	uniform := func(per int64) Op {
+		b := make([]int64, n)
+		for j := range b {
+			b[j] = per
+		}
+		return Op{Name: opAllToAll, SendTo: b, RecvFrom: b}
+	}
 
+	// AllToAll trial: uniform traffic, trialBytes per device total.
+	per := int64(trialBytes / (n - 1))
+	prof.AllToAllBps = float64(per*int64(n-1)) / slowest(uniform(per))
 	// AllGather trial: each device broadcasts trialBytes, putting
 	// (n-1)*trialBytes on the wire per device.
-	g2 := device.NewGroup(p)
-	c2 := New(g2)
-	RunParallel(n, func(dev int) {
-		c2.AllGather(dev, "trial", Payload{Bytes: trialBytes})
-	})
-	prof.AllGatherBps = float64(int64(n-1)*trialBytes) / maxStage(g2, "trial")
-
+	prof.AllGatherBps = float64(int64(n-1)*trialBytes) / slowest(uniform(trialBytes))
 	// AllReduce trial on a trialBytes tensor.
-	g3 := device.NewGroup(p)
-	c3 := New(g3)
-	RunParallel(n, func(dev int) {
-		c3.AllReduce(dev, "trial", nil, trialBytes)
-	})
-	prof.AllReduceBps = float64(trialBytes) / maxStage(g3, "trial")
-
+	prof.AllReduceBps = float64(trialBytes) / slowest(AllReduceOp(trialBytes/4, nil))
 	// Near-empty-payload trials isolate the per-call latencies.
-	g4 := device.NewGroup(p)
-	c4 := New(g4)
-	RunParallel(n, func(dev int) {
-		outs := make([]Payload, n)
-		for j := range outs {
-			if j != dev {
-				outs[j] = Payload{Bytes: 1}
-			}
-		}
-		c4.AllToAll(dev, "lat-a2a", outs)
-		c4.AllGather(dev, "lat-bcast", Payload{Bytes: 1})
-	})
-	prof.AllToAllCallSec = maxStage(g4, "lat-a2a")
-	prof.AllGatherCallSec = maxStage(g4, "lat-bcast")
+	prof.AllToAllCallSec = slowest(uniform(1))
+	prof.AllGatherCallSec = prof.AllToAllCallSec
 	return prof
-}
-
-func maxStage(g *device.Group, stage string) float64 {
-	var mx float64
-	for _, d := range g.Devices {
-		if e := d.Elapsed(stage); e > mx {
-			mx = e
-		}
-	}
-	return mx
 }

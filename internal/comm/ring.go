@@ -3,7 +3,6 @@ package comm
 import (
 	"fmt"
 
-	"repro/internal/hardware"
 	"repro/internal/tensor"
 )
 
@@ -39,20 +38,6 @@ type CompressedChunk struct {
 	// B holds the encoded bytes.
 	B []byte
 }
-
-// AllReduceAlgo selects the AllReduce data-plane algorithm.
-type AllReduceAlgo int
-
-const (
-	// AlgoRing is the default: chunked reduce-scatter + allgather moving
-	// 2·(C-1)/C·V per rank — the bytes the timing model charges.
-	AlgoRing AllReduceAlgo = iota
-	// AlgoNaive is the pre-ring full-mesh allgather-then-sum (~C×V per
-	// rank over a wire backend). Kept only so benchmarks can measure the
-	// ring's win; it ignores any chunk codec. Timing charges are
-	// identical to AlgoRing — the model always assumes the ring.
-	AlgoNaive
-)
 
 // ringState is per-rank ring scratch, touched only by goroutines of its
 // own rank and never concurrently (the engine serializes its gradient
@@ -95,70 +80,29 @@ func (c *Comm) ringFor(dev, elems int) *ringState {
 }
 
 // chunkBounds splits elems into n ring chunks: bounds[i] is chunk i's
-// start offset, bounds[n] == elems. The first elems%n chunks get one
-// extra element. Every rank computes identical bounds, which fixes the
-// summation grouping (and therefore the result bits) globally.
+// start offset, bounds[n] == elems. Every rank computes identical
+// bounds, which fixes the summation grouping (and therefore the result
+// bits) globally.
 func chunkBounds(elems, n int) []int {
 	bounds := make([]int, n+1)
-	base, rem := elems/n, elems%n
-	off := 0
 	for i := 0; i < n; i++ {
-		bounds[i] = off
-		off += base
-		if i < rem {
-			off++
-		}
+		bounds[i+1] = bounds[i] + chunkLen(elems, n, i)
 	}
-	bounds[n] = off
 	return bounds
 }
 
-// allReduceModel is the single source of truth for what one allreduce
-// of elems float32 values costs: simulated seconds, modeled wire bytes
-// per rank (ring: 2·(C-1)/C of the encoded volume), and the link kind
-// charged. rawBytes is the uncompressed wire size (callers pass the
-// exact byte count so accounting-mode charges with odd sizes stay
-// bit-identical to the pre-ring formula); a codec replaces it with the
-// summed encoded chunk sizes.
-func (c *Comm) allReduceModel(elems int, rawBytes int64, codec ChunkCodec) (secs float64, wire int64, kind hardware.LinkKind) {
-	p := c.Group.Platform
-	ringBW := p.Bandwidth[hardware.LinkPCIe]
-	if p.HasNVLink {
-		ringBW = p.Bandwidth[hardware.LinkNVLink]
+// chunkLen is the length of ring chunk i of elems split n ways: the
+// first elems%n chunks get one extra element.
+func chunkLen(elems, n, i int) int {
+	if i < elems%n {
+		return elems/n + 1
 	}
-	kind = hardware.LinkPCIe
-	if p.Machines > 1 {
-		if nb := p.Bandwidth[hardware.LinkNetwork]; nb < ringBW {
-			ringBW = nb
-			kind = hardware.LinkNetwork
-		}
-	}
-	enc := float64(rawBytes)
-	if codec != nil {
-		bounds := chunkBounds(elems, c.n)
-		var total int
-		for i := 0; i < c.n; i++ {
-			total += codec.EncodedLen(bounds[i+1] - bounds[i])
-		}
-		enc = float64(total)
-	}
-	wire = int64(2 * enc * float64(c.n-1) / float64(c.n))
-	secs = p.Latency[kind]*float64(2*(c.n-1)) + float64(wire)/ringBW
-	return secs, wire, kind
-}
-
-// AllReduceModel returns the simulated seconds, modeled wire bytes and
-// link kind the ring model charges for one allreduce of elems float32
-// values under codec (nil = fp32). The engine's bucketed gradient sync
-// uses it to charge overlapped bucket allreduces itself — the data
-// plane (RingAllReduceData) never touches the clocks.
-func (c *Comm) AllReduceModel(elems int, codec ChunkCodec) (secs float64, wire int64, kind hardware.LinkKind) {
-	return c.allReduceModel(elems, int64(elems)*4, codec)
+	return elems / n
 }
 
 // RingAllReduceData sums data element-wise across all ranks in place —
-// the pure data plane, with no simulated time charged (callers account
-// via AllReduceModel). The result is identical, bit for bit, on every
+// the pure data plane, with no simulated time charged (callers price
+// it with Charge and AllReduceOp). At world 1 it leaves data as is. The result is identical, bit for bit, on every
 // rank: chunk boundaries and the ring summation order are fixed by rank
 // position, every rank reduces each chunk in the same grouping, and
 // under a codec every rank decodes the chunk owner's single final
@@ -285,16 +229,4 @@ func addInto(dst, src []float32) {
 	for i, v := range src {
 		dst[i] += v
 	}
-}
-
-// allReduceNaive is the pre-ring data plane (AlgoNaive): full-mesh
-// gather of the whole matrix plus a local sum, kept for the
-// ring-vs-naive benchmark series.
-func (c *Comm) allReduceNaive(dev int, mat *tensor.Matrix) *tensor.Matrix {
-	parts := c.AllGatherNoCharge(dev, Payload{Mat: mat})
-	result := tensor.Get(mat.Rows, mat.Cols)
-	for j := 0; j < c.n; j++ {
-		result.AddInPlace(parts[j].Mat)
-	}
-	return result
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/hardware"
-	"repro/internal/tensor"
 )
 
 // ringWorld runs fn on every rank of an in-process world and returns
@@ -78,47 +77,37 @@ func TestRingAllReduceDataExact(t *testing.T) {
 	}
 }
 
-// TestRingMatchesNaive compares ring and naive allreduce on random-ish
-// data: values agree within float tolerance (the summation orders
-// differ), and within each algorithm every rank holds bit-identical
-// results.
+// TestRingMatchesNaive compares the ring allreduce on random-ish data
+// with a serial sum of the known inputs: values agree within float
+// tolerance (the summation orders differ), and every rank holds
+// bit-identical results.
 func TestRingMatchesNaive(t *testing.T) {
 	const n, elems = 4, 103
 	input := func(dev, i int) float32 {
 		return float32(math.Sin(float64(dev*1000 + i))) // deterministic, non-dyadic
 	}
-	run := func(algo AllReduceAlgo) [][]float32 {
-		p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, n)
-		c, _ := newTestComm(p)
-		c.Algo = algo
-		out := make([][]float32, n)
-		var mu sync.Mutex
-		RunParallel(n, func(dev int) {
-			m := tensor.New(1, elems)
-			for i := range m.Data {
-				m.Data[i] = input(dev, i)
-			}
-			r := c.AllReduce(dev, device.StageTrain, m, 0)
-			mu.Lock()
-			out[dev] = append([]float32{}, r.Data...)
-			mu.Unlock()
-		})
-		return out
-	}
-	ring, naive := run(AlgoRing), run(AlgoNaive)
+	ring := ringWorld(t, n, func(c *Comm, dev int) []float32 {
+		data := make([]float32, elems)
+		for i := range data {
+			data[i] = input(dev, i)
+		}
+		c.RingAllReduceData(dev, data, nil)
+		return data
+	})
 	for dev := 1; dev < n; dev++ {
 		for i := 0; i < elems; i++ {
 			if math.Float32bits(ring[dev][i]) != math.Float32bits(ring[0][i]) {
 				t.Fatalf("ring results differ across ranks at [%d][%d]", dev, i)
 			}
-			if math.Float32bits(naive[dev][i]) != math.Float32bits(naive[0][i]) {
-				t.Fatalf("naive results differ across ranks at [%d][%d]", dev, i)
-			}
 		}
 	}
 	for i := 0; i < elems; i++ {
-		if d := math.Abs(float64(ring[0][i] - naive[0][i])); d > 1e-5 {
-			t.Fatalf("ring vs naive at [%d]: %v vs %v", i, ring[0][i], naive[0][i])
+		var serial float32
+		for dev := 0; dev < n; dev++ {
+			serial += input(dev, i)
+		}
+		if d := math.Abs(float64(ring[0][i] - serial)); d > 1e-5 {
+			t.Fatalf("ring vs serial sum at [%d]: %v vs %v", i, ring[0][i], serial)
 		}
 	}
 }
@@ -182,22 +171,21 @@ func TestRingCompressedDeterministic(t *testing.T) {
 	}
 }
 
-// TestRingWorld1NoOp pins the degenerate single-rank behavior of both
-// ring entry points.
+// TestRingWorld1NoOp pins the degenerate single-rank behavior: the
+// ring leaves the data as is and the model charges nothing.
 func TestRingWorld1NoOp(t *testing.T) {
 	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 1)
-	c, _ := newTestComm(p)
+	c, g := newTestComm(p)
 	data := []float32{1, -2, 3.5}
 	c.RingAllReduceData(0, data, nil)
 	if data[0] != 1 || data[1] != -2 || data[2] != 3.5 {
 		t.Fatalf("world-1 ring mutated data: %v", data)
 	}
-	m := tensor.FromData(1, 3, []float32{1, -2, 3.5})
-	r := c.AllReduce(0, device.StageTrain, m, 0)
-	for i := range m.Data {
-		if math.Float32bits(r.Data[i]) != math.Float32bits(m.Data[i]) {
-			t.Fatalf("world-1 allreduce[%d] = %v, want %v", i, r.Data[i], m.Data[i])
-		}
+	if sec := c.Charge(0, device.StageTrain, AllReduceOp(len(data), nil)); sec != 0 {
+		t.Fatalf("world-1 allreduce charged %v s", sec)
+	}
+	if e := g.Devices[0].Elapsed(device.StageTrain); e != 0 {
+		t.Fatalf("world-1 allreduce advanced the clock to %v", e)
 	}
 }
 
@@ -206,46 +194,29 @@ func TestRingWorld1NoOp(t *testing.T) {
 // shrinks the charge by its encoding ratio.
 func TestAllReduceChargeModel(t *testing.T) {
 	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, 4)
-	c, _ := newTestComm(p)
+	c, g := newTestComm(p)
 	const elems = 1000
-	_, wire, _ := c.AllReduceModel(elems, nil)
-	if want := int64(2 * elems * 4 * 3 / 4); wire != want {
-		t.Errorf("fp32 ring wire = %d, want %d", wire, want)
+	fp32 := priceRing(p, 4, elems, nil)
+	if want := int64(2 * elems * 4 * 3 / 4); fp32.wire != want {
+		t.Errorf("fp32 ring wire = %d, want %d", fp32.wire, want)
 	}
-	secFP32, _, _ := c.AllReduceModel(elems, nil)
-	secTrunc, wireTrunc, _ := c.AllReduceModel(elems, truncCodec{})
-	if want := int64(2 * elems * 2 * 3 / 4); wireTrunc != want {
-		t.Errorf("trunc ring wire = %d, want %d", wireTrunc, want)
+	trunc := priceRing(p, 4, elems, truncCodec{})
+	if want := int64(2 * elems * 2 * 3 / 4); trunc.wire != want {
+		t.Errorf("trunc ring wire = %d, want %d", trunc.wire, want)
 	}
-	if secTrunc >= secFP32 {
-		t.Errorf("compressed allreduce modeled slower: %v >= %v", secTrunc, secFP32)
+	if trunc.secs >= fp32.secs {
+		t.Errorf("compressed allreduce modeled slower: %v >= %v", trunc.secs, fp32.secs)
 	}
 	// The charged time and ledger volume follow the same model.
 	RunParallel(4, func(dev int) {
-		c.AllReduce(dev, device.StageTrain, tensor.New(1, elems), 0)
+		c.Charge(dev, device.StageTrain, AllReduceOp(elems, nil))
 	})
-	if got := c.Ledger.TotalOp("allreduce"); got != 4*wire {
-		t.Errorf("ledger allreduce = %d, want %d", got, 4*wire)
+	if got := c.Ledger.TotalOp("allreduce"); got != 4*fp32.wire {
+		t.Errorf("ledger allreduce = %d, want %d", got, 4*fp32.wire)
 	}
-}
-
-// TestNaiveIgnoresCodec pins that AlgoNaive is the uncompressed
-// benchmark baseline even when a codec is requested.
-func TestNaiveIgnoresCodec(t *testing.T) {
-	const n = 2
-	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, n)
-	c, _ := newTestComm(p)
-	c.Algo = AlgoNaive
-	results := make([][]float32, n)
-	var mu sync.Mutex
-	RunParallel(n, func(dev int) {
-		m := tensor.FromData(1, 2, []float32{float32(dev + 1), 0.25})
-		r := c.AllReduceCodec(dev, device.StageTrain, m, 0, truncCodec{})
-		mu.Lock()
-		results[dev] = append([]float32{}, r.Data...)
-		mu.Unlock()
-	})
-	if results[0][0] != 3 || results[0][1] != 0.5 {
-		t.Fatalf("naive allreduce = %v, want [3 0.5] (exact)", results[0])
+	for _, d := range g.Devices {
+		if e := d.Elapsed(device.StageTrain); e != fp32.secs {
+			t.Errorf("dev %d charged %v, want %v", d.ID, e, fp32.secs)
+		}
 	}
 }

@@ -29,9 +29,9 @@ package comm
 //     the engine's barrier-then-Put ownership rule).
 //
 // Ownership rule (the comm/transport concurrency contract): all
-// collective calls for rank r — and therefore every Ledger.Add, device
-// clock Charge, and Spans emission they perform — happen on rank r's
-// worker goroutine. A Transport may move bytes on internal goroutines,
+// collective and Charge calls for rank r — and therefore every
+// Ledger.Add, device clock charge, and Spans emission — happen on rank
+// r's worker goroutine. A Transport may move bytes on internal goroutines,
 // but it must hand decoded payloads back through Recv on the caller's
 // goroutine and must never touch the Ledger, the device clocks, or the
 // span tracks itself. Ledger is the one piece of comm state that is

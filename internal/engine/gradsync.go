@@ -5,9 +5,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/device"
-	"repro/internal/hardware"
 	"repro/internal/nn"
-	"repro/internal/obs"
 )
 
 // gradSync is the bucketed, backward-overlapped gradient
@@ -28,8 +26,9 @@ import (
 // and preserves comm's rule that a rank's ring scratch is never
 // touched concurrently.
 //
-// Timing: the data plane is free; the worker charges the schedule at
-// join time. Bucket i's transfer starts at max(launch[i], end[i-1])
+// Timing: the data plane is free; the worker prices the schedule at
+// join time through comm's pricing path (ChargeOverlapped,
+// ChargeExposed). Bucket i's transfer starts at max(launch[i], end[i-1])
 // on the serialized compute clock (launch[i] is the clock when its
 // layer's backward finished — transfers overlap compute but serialize
 // against each other on the ring), and only the tail that outlives
@@ -68,11 +67,8 @@ type gradBucket struct {
 	layer  int // model layer index (bucket order is reverse of this)
 	params []*nn.Param
 	flat   []float32
-	// commSec/wire/kind are the bucket's modeled allreduce cost
-	// (comm.AllReduceModel), fixed for the run.
-	commSec float64
-	wire    int64
-	kind    hardware.LinkKind
+	// op is the bucket's allreduce, priced when settled.
+	op comm.Op
 	// res holds the int8 error-feedback residual (DESIGN decision 18):
 	// the quantization error of this rank's previous contribution,
 	// added back before encoding the next one. enc/dq are the local
@@ -94,7 +90,7 @@ func newGradSync(w *worker, codec comm.ChunkCodec, ef bool) *gradSync {
 			elems += len(p.G.Data)
 		}
 		b.flat = make([]float32, elems)
-		b.commSec, b.wire, b.kind = w.eng.Comm.AllReduceModel(elems, codec)
+		b.op = comm.AllReduceOp(elems, codec)
 		if ef {
 			b.res = make([]float32, elems)
 			b.enc = make([]byte, codec.EncodedLen(elems))
@@ -107,15 +103,6 @@ func newGradSync(w *worker, codec comm.ChunkCodec, ef bool) *gradSync {
 	gs.acks = make(chan int, len(gs.buckets))
 	gs.done = make(chan struct{}, 1)
 	return gs
-}
-
-// commClock is the worker's serialized compute-side clock — the axis
-// collective spans live on (see comm.chargeWithSpan): sampling is
-// excluded so a concurrent prefetcher cannot perturb it.
-func (w *worker) commClock() float64 {
-	d := w.dev
-	return d.Elapsed(device.StageBuild) + d.Elapsed(device.StageLoad) +
-		d.Elapsed(device.StageTrain) + d.Elapsed(device.StageShuffle)
 }
 
 // beginStep starts this step's sync goroutine. Every step launches
@@ -164,7 +151,7 @@ func (gs *gradSync) launchLayer(layer int) {
 			b.res[j] = b.flat[j] - b.dq[j]
 		}
 	}
-	gs.launchClk[i] = gs.w.commClock()
+	gs.launchClk[i] = gs.w.eng.Comm.Clock(gs.w.dev.ID)
 	gs.sent++
 	gs.reqs <- i
 }
@@ -186,36 +173,24 @@ func (gs *gradSync) drainInFlight() {
 
 // settle places the launched-but-unscheduled buckets on the timeline —
 // each starts at max(its launch clock, the previous bucket's end) —
-// emits their spans and ledger entries, and charges the exposed tail
-// (scheduled end beyond the current compute clock) to the train stage.
-// Called at every join point, so simulated time never runs backwards
-// relative to collectives the worker issues afterwards.
+// records them through comm's pricing path, and charges the exposed
+// tail (scheduled end beyond the current compute clock) to the train
+// stage. Called at every join point, so simulated time never runs
+// backwards relative to collectives the worker issues afterwards.
 func (gs *gradSync) settle() {
 	w := gs.w
 	c := w.eng.Comm
-	var track *obs.Track // nil track: Emit is a no-op
-	if c.Spans != nil {
-		track = c.Spans[w.dev.ID]
-	}
-	base := 0.0
-	if c.SpanBase != nil {
-		base = *c.SpanBase
-	}
 	for ; gs.scheduled < gs.sent; gs.scheduled++ {
 		b := gs.buckets[gs.scheduled]
 		start := gs.launchClk[gs.scheduled]
 		if start < gs.prevEnd {
 			start = gs.prevEnd // transfers serialize on the ring
 		}
-		track.Emit("allreduce", b.layer, base+start, b.commSec, b.wire)
-		c.Ledger.Add("allreduce", b.kind, b.wire)
-		gs.prevEnd = start + b.commSec
-		w.stats.GradCommSec += b.commSec
+		sec := c.ChargeOverlapped(w.dev.ID, b.op, b.layer, start)
+		gs.prevEnd = start + sec
+		w.stats.GradCommSec += sec
 	}
-	if exposed := gs.prevEnd - w.commClock(); exposed > 0 {
-		w.dev.Charge(device.StageTrain, exposed)
-		w.stats.GradExposedSec += exposed
-	}
+	w.stats.GradExposedSec += c.ChargeExposed(w.dev.ID, device.StageTrain, gs.prevEnd)
 }
 
 // finish waits for all buckets, settles the overlapped schedule, and

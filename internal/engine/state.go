@@ -60,7 +60,8 @@ func (e *Engine) SyncRNGCursors() error {
 		ints[2*i] = int32(uint32(u))
 		ints[2*i+1] = int32(uint32(u >> 32))
 	}
-	got := e.Comm.AllGatherNoCharge(r, comm.Payload{Ints: ints, Bytes: 0})
+	// Checkpoint bookkeeping, not training traffic: nothing is charged.
+	got, _ := e.Comm.AllGather(r, comm.Payload{Ints: ints})
 	for peer, p := range got {
 		if peer == r {
 			continue

@@ -64,11 +64,11 @@ func MeasureWire(c *comm.Comm, rank, bytesPerPeer, trials int) WireStats {
 	local := make([]float32, 0, trials*3)
 	for t := 0; t < trials; t++ {
 		start := time.Now()
-		c.AllToAllNoCharge(rank, outs)
+		c.AllToAll(rank, outs)
 		a2a := time.Since(start).Seconds()
 
 		start = time.Now()
-		c.AllGatherNoCharge(rank, comm.Payload{Mat: mat})
+		c.AllGather(rank, comm.Payload{Mat: mat})
 		ag := time.Since(start).Seconds()
 
 		// AllReduce runs the real ring data plane (chunked reduce-scatter
@@ -84,7 +84,8 @@ func MeasureWire(c *comm.Comm, rank, bytesPerPeer, trials int) WireStats {
 	// Cross-rank agreement: element-wise max over all ranks' samples.
 	agreed := make([]float32, len(local))
 	copy(agreed, local)
-	for _, p := range c.AllGatherNoCharge(rank, comm.Payload{Mat: tensor.FromData(1, len(local), local)}) {
+	got, _ := c.AllGather(rank, comm.Payload{Mat: tensor.FromData(1, len(local), local)})
+	for _, p := range got {
 		for i, v := range p.Mat.Data {
 			if v > agreed[i] {
 				agreed[i] = v

@@ -80,7 +80,7 @@ func TestTCPLoopbackCollectives(t *testing.T) {
 					for j := 0; j < n; j++ {
 						outs[j] = comm.Payload{Ints: []int32{int32(r*100 + j)}}
 					}
-					in := c.AllToAll(r, device.StageBuild, outs)
+					in, _ := c.AllToAll(r, outs)
 					for j := 0; j < n; j++ {
 						if want := int32(j*100 + r); len(in[j].Ints) != 1 || in[j].Ints[0] != want {
 							t.Errorf("rank %d: alltoall from %d = %v, want [%d]", r, j, in[j].Ints, want)
@@ -88,15 +88,16 @@ func TestTCPLoopbackCollectives(t *testing.T) {
 					}
 
 					// AllGather of a rank-stamped matrix.
-					for j, p := range c.AllGather(r, device.StageBuild, comm.Payload{Mat: tensor.FromData(1, 1, []float32{float32(r)})}) {
+					got, _ := c.AllGather(r, comm.Payload{Mat: tensor.FromData(1, 1, []float32{float32(r)})})
+					for j, p := range got {
 						if p.Mat == nil || p.Mat.Data[0] != float32(j) {
 							t.Errorf("rank %d: allgather slot %d = %+v, want %d", r, j, p.Mat, j)
 						}
 					}
 
 					// AllReduce must produce the identical sum everywhere.
-					mat := tensor.FromData(1, 3, []float32{float32(r + 1), 0.5, float32(r) * 0.125})
-					sums[r] = append([]float32{}, c.AllReduce(r, device.StageTrain, mat, 0).Data...)
+					sums[r] = []float32{float32(r + 1), 0.5, float32(r) * 0.125}
+					c.RingAllReduceData(r, sums[r], nil)
 
 					// AnyTrue: only rank n-1 votes true; all must agree true.
 					if !c.AnyTrue(r, r == n-1) {
