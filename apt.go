@@ -74,10 +74,11 @@ var CoreStrategies = strategy.Core
 // Strategy; the inverse of Strategy.String.
 var ParseStrategy = strategy.Parse
 
-// Full-graph trainer modes.
+// Full-graph trainer modes (FullGraphConfig.Mode is the engine's
+// execution mode).
 const (
-	FullGraphReal       = fullgraph.Real
-	FullGraphAccounting = fullgraph.Accounting
+	FullGraphReal       = engine.Real
+	FullGraphAccounting = engine.Accounting
 )
 
 // NewAPT validates a task and creates the system. Options attach

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/fullgraph"
 	"repro/internal/strategy"
 	"repro/internal/trace"
@@ -32,7 +33,7 @@ func (e *Env) ExtensionFullGraph() (string, error) {
 			TrainNodes: task.Seeds,
 			NewModel:   task.NewModel,
 			Assign:     e.Partition(abbr, task.Platform.NumDevices(), 0).Assign,
-			Mode:       fullgraph.Accounting,
+			Mode:       engine.Accounting,
 			Seed:       7,
 		})
 		if err != nil {

@@ -14,20 +14,12 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/device"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hardware"
 	"repro/internal/nn"
 	"repro/internal/sample"
 	"repro/internal/tensor"
-)
-
-// Mode mirrors engine.Mode: real training or volume accounting.
-type Mode int
-
-// Execution modes.
-const (
-	Real Mode = iota
-	Accounting
 )
 
 // Config assembles a full-graph training run.
@@ -44,7 +36,7 @@ type Config struct {
 	NewOptimizer func() nn.Optimizer
 	// Assign maps node -> owning device (an edge-cut partitioning).
 	Assign []int32
-	Mode   Mode
+	Mode   engine.Mode
 	Seed   uint64
 }
 
@@ -110,7 +102,7 @@ func New(cfg Config) (*Trainer, error) {
 		return nil, fmt.Errorf("fullgraph: partition covers %d of %d nodes",
 			len(cfg.Assign), cfg.Graph.NumNodes())
 	}
-	if cfg.Mode == Real && (cfg.Feats == nil || cfg.Labels == nil) {
+	if cfg.Mode == engine.Real && (cfg.Feats == nil || cfg.Labels == nil) {
 		return nil, fmt.Errorf("fullgraph: real mode needs features and labels")
 	}
 	t := &Trainer{cfg: cfg}

@@ -3,6 +3,7 @@ package fullgraph
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hardware"
 	"repro/internal/nn"
@@ -61,7 +62,7 @@ func newFixture(t testing.TB, nodes, devices int) *fixture {
 	return &fixture{g: g, feats: feats, labels: labels, train: train, assign: assign}
 }
 
-func (f *fixture) config(devices int, mode Mode) Config {
+func (f *fixture) config(devices int, mode engine.Mode) Config {
 	p := hardware.WithDevices(hardware.SingleMachine8GPU(), 1, devices)
 	assign := f.assign
 	if devices == 1 {
@@ -79,7 +80,7 @@ func (f *fixture) config(devices int, mode Mode) Config {
 		Mode:         mode,
 		Seed:         11,
 	}
-	if mode == Real {
+	if mode == engine.Real {
 		cfg.Feats = f.feats
 		cfg.Labels = f.labels
 	}
@@ -91,11 +92,11 @@ func (f *fixture) config(devices int, mode Mode) Config {
 // single-device pass (up to float reassociation).
 func TestMultiDeviceMatchesSingle(t *testing.T) {
 	f := newFixture(t, 240, 4)
-	single, err := New(f.config(1, Real))
+	single, err := New(f.config(1, engine.Real))
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := New(f.config(4, Real))
+	multi, err := New(f.config(4, engine.Real))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestMultiDeviceMatchesSingle(t *testing.T) {
 
 func TestFullGraphLearns(t *testing.T) {
 	f := newFixture(t, 240, 4)
-	cfg := f.config(4, Real)
+	cfg := f.config(4, engine.Real)
 	cfg.NewOptimizer = func() nn.Optimizer { return nn.NewAdam(0.05) }
 	tr, err := New(cfg)
 	if err != nil {
@@ -144,13 +145,13 @@ func TestFullGraphLearns(t *testing.T) {
 
 func TestGATFullGraph(t *testing.T) {
 	f := newFixture(t, 180, 3)
-	cfg := f.config(3, Real)
+	cfg := f.config(3, engine.Real)
 	cfg.NewModel = func() *nn.Model { return nn.NewGAT(8, 4, 2, 4, 2) }
 	multi, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgS := f.config(1, Real)
+	cfgS := f.config(1, engine.Real)
 	cfgS.NewModel = cfg.NewModel
 	single, err := New(cfgS)
 	if err != nil {
@@ -165,7 +166,7 @@ func TestGATFullGraph(t *testing.T) {
 
 func TestAccountingModeVolumesAndOOM(t *testing.T) {
 	f := newFixture(t, 400, 4)
-	cfg := f.config(4, Accounting)
+	cfg := f.config(4, engine.Accounting)
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +187,7 @@ func TestAccountingModeVolumesAndOOM(t *testing.T) {
 
 	// Tiny device memory: the per-layer activations overflow — the
 	// memory wall that makes full-graph training infeasible at scale.
-	small := f.config(4, Accounting)
+	small := f.config(4, engine.Accounting)
 	tinyPlat := *small.Platform
 	tinyPlat.GPUMemBytes = 1024
 	tinyPlat.DefaultCacheBytes = 0
@@ -202,17 +203,17 @@ func TestAccountingModeVolumesAndOOM(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	f := newFixture(t, 100, 2)
-	cfg := f.config(2, Real)
+	cfg := f.config(2, engine.Real)
 	cfg.Assign = []int32{0}
 	if _, err := New(cfg); err == nil {
 		t.Error("accepted short partition")
 	}
-	cfg2 := f.config(2, Real)
+	cfg2 := f.config(2, engine.Real)
 	cfg2.Feats = nil
 	if _, err := New(cfg2); err == nil {
 		t.Error("accepted real mode without features")
 	}
-	cfg3 := f.config(2, Real)
+	cfg3 := f.config(2, engine.Real)
 	cfg3.NewModel = nil
 	if _, err := New(cfg3); err == nil {
 		t.Error("accepted missing model")
