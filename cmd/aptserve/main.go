@@ -16,8 +16,8 @@
 // A running daemon hot-swaps its model without dropping requests when
 // the checkpoint file is rewritten (e.g. by a fresh aptrun) and either
 // `curl -X POST localhost:8399/reload` or SIGHUP arrives. -checkpoint
-// accepts both raw aptrun parameter files and full training snapshots
-// written by the checkpoint facade.
+// takes a training snapshot, as written by aptrun -save or the
+// checkpoint facade.
 //
 // Or train in-process and benchmark the serving path:
 //

@@ -145,22 +145,21 @@ func ReadFile(path string) (*Snapshot, error) {
 	return Decode(b)
 }
 
-// LoadModelInto loads model parameters from path into m, accepting
-// either a full training snapshot (this package's format) or a raw
-// nn.SaveParams file — the first four bytes disambiguate. It is the
-// serving-side loader: aptserve does not care about optimizer moments
-// or RNG cursors, only the weights.
+// LoadModelInto loads the model parameters of the training snapshot
+// at path into m. It is the serving-side loader: aptserve does not
+// care about optimizer moments or RNG cursors, only the weights.
+// Anything that is not a snapshot is rejected.
 func LoadModelInto(m *nn.Model, path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	if len(b) >= 4 && binary.LittleEndian.Uint32(b) == snapMagic {
-		snap, err := Decode(b)
-		if err != nil {
-			return err
-		}
-		return m.LoadParams(bytes.NewReader(snap.Model))
+	if len(b) < 4 || binary.LittleEndian.Uint32(b) != snapMagic {
+		return fmt.Errorf("checkpoint: %s is not a training snapshot", path)
 	}
-	return m.LoadParams(bytes.NewReader(b))
+	snap, err := Decode(b)
+	if err != nil {
+		return err
+	}
+	return m.LoadParams(bytes.NewReader(snap.Model))
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Binary checkpoint format for model parameters:
@@ -148,33 +147,4 @@ func (m *Model) LoadParams(r io.Reader) error {
 		return fmt.Errorf("nn: trailing bytes after last parameter")
 	}
 	return nil
-}
-
-// SaveFile checkpoints the model atomically to path.
-func (m *Model) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := m.SaveParams(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadFile restores a checkpoint written by SaveFile.
-func (m *Model) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return m.LoadParams(f)
 }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/graph"
@@ -97,22 +96,21 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSaveLoadFileGAT(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.aptm")
+func TestSaveLoadRoundTripGAT(t *testing.T) {
 	m := NewGAT(6, 4, 2, 3, 2)
 	m.Init(graph.NewRNG(5))
-	if err := m.SaveFile(path); err != nil {
+	var buf bytes.Buffer
+	if err := m.SaveParams(&buf); err != nil {
 		t.Fatal(err)
 	}
 	m2 := NewGAT(6, 4, 2, 3, 2)
-	if err := m2.LoadFile(path); err != nil {
+	if err := m2.LoadParams(&buf); err != nil {
 		t.Fatal(err)
 	}
 	p1, p2 := m.Params(), m2.Params()
 	for i := range p1 {
 		if p1[i].W.MaxAbsDiff(p2[i].W) != 0 {
-			t.Fatalf("GAT param %d differs after file round trip", i)
+			t.Fatalf("GAT param %d differs after round trip", i)
 		}
 	}
 }

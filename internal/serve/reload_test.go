@@ -108,7 +108,8 @@ func TestReloadDropsNoRequests(t *testing.T) {
 }
 
 // TestReloadCheckpointFromSnapshotAndRaw drives the file-based reload
-// path with both accepted formats.
+// path: a bare parameter file is refused and leaves the live model in
+// place, a training snapshot at the same path loads.
 func TestReloadCheckpointFromSnapshotAndRaw(t *testing.T) {
 	f := newFixture(t)
 	dir := t.TempDir()
@@ -121,12 +122,19 @@ func TestReloadCheckpointFromSnapshotAndRaw(t *testing.T) {
 	})
 	defer s.Close()
 
-	// Raw nn params file.
-	if err := f.altModel(5).SaveFile(path); err != nil {
+	// Bare nn params file: not a snapshot.
+	var raw bytes.Buffer
+	if err := f.altModel(5).SaveParams(&raw); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReloadCheckpoint(); err != nil {
-		t.Fatalf("reload raw params: %v", err)
+	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReloadCheckpoint(); err == nil {
+		t.Fatal("reload of a bare params file succeeded, want a not-a-snapshot error")
+	}
+	if s.ModelVersion() != 0 {
+		t.Fatalf("model version %d after a refused reload", s.ModelVersion())
 	}
 
 	// Full training snapshot at the same path.
@@ -146,8 +154,8 @@ func TestReloadCheckpointFromSnapshotAndRaw(t *testing.T) {
 	if err := s.ReloadCheckpoint(); err != nil {
 		t.Fatalf("reload snapshot: %v", err)
 	}
-	if s.ModelVersion() != 2 {
-		t.Fatalf("model version %d after two file reloads", s.ModelVersion())
+	if s.ModelVersion() != 1 {
+		t.Fatalf("model version %d after one file reload", s.ModelVersion())
 	}
 
 	// A corrupt file fails the reload and leaves the server serving.
@@ -160,7 +168,7 @@ func TestReloadCheckpointFromSnapshotAndRaw(t *testing.T) {
 	if _, err := s.Predict([]graph.NodeID{1}); err != nil {
 		t.Fatalf("server broken after failed reload: %v", err)
 	}
-	if s.ModelVersion() != 2 {
+	if s.ModelVersion() != 1 {
 		t.Fatal("failed reload bumped the model version")
 	}
 }

@@ -93,9 +93,8 @@ type Config struct {
 	// for ReloadCheckpoint (the checkpoint's parameters are loaded into
 	// a fresh instance so a bad file can never corrupt the live model).
 	NewModel func() *nn.Model
-	// ReloadPath is the checkpoint file ReloadCheckpoint re-reads —
-	// either a training snapshot (internal/checkpoint format) or a raw
-	// parameter file. Empty disables checkpoint reloading; Reload with
+	// ReloadPath is the training snapshot (internal/checkpoint format)
+	// ReloadCheckpoint re-reads. Empty disables checkpoint reloading; Reload with
 	// an explicit model still works.
 	ReloadPath string
 }
@@ -326,7 +325,7 @@ func (s *Server) Reload(m *nn.Model) error {
 }
 
 // ReloadCheckpoint re-reads the configured ReloadPath — a training
-// snapshot or a raw parameter file — into a fresh model from
+// snapshot — into a fresh model from
 // Config.NewModel and swaps it in via Reload. The parameters land in a
 // new instance first, so a corrupt or mismatched file fails the reload
 // and leaves the live model untouched.

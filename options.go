@@ -62,8 +62,7 @@ func WithCheckpointRetain(k int) Option {
 }
 
 // WithReload names the checkpoint file Server.ReloadCheckpoint
-// hot-swaps the model from — either a raw parameter file or a full
-// training snapshot. Applies to Serve; the config's NewModel factory
+// hot-swaps the model from: a training snapshot. Applies to Serve; the config's NewModel factory
 // must also be set.
 func WithReload(path string) Option {
 	return Option{serve: func(c *serve.Config) { c.ReloadPath = path }}
