@@ -6,7 +6,8 @@
 package cache
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -75,25 +76,29 @@ func rankedLists(cfg SelectConfig, k int) [][]graph.NodeID {
 	}
 	switch cfg.Policy {
 	case PolicyHotGlobal:
-		top := topByScore(allNodes(len(cfg.Freq)), func(v graph.NodeID) int64 { return cfg.Freq[v] }, k)
+		top := topByScore(allNodes(len(cfg.Freq)), cfg.Freq, k)
 		for d := range out {
 			out[d] = append([]graph.NodeID(nil), top...)
 		}
 	case PolicyDegree:
 		n := cfg.Graph.NumNodes()
-		top := topByScore(allNodes(n), func(v graph.NodeID) int64 { return int64(cfg.Graph.Degree(v)) }, k)
+		deg := make([]int64, n)
+		for v := range deg {
+			deg[v] = int64(cfg.Graph.Degree(graph.NodeID(v)))
+		}
+		top := topByScore(allNodes(n), deg, k)
 		for d := range out {
 			out[d] = append([]graph.NodeID(nil), top...)
 		}
 	case PolicyHotPartition:
 		cands := partitionCandidates(cfg.Assign, cfg.Devices, nil)
 		for d := range out {
-			out[d] = topByScore(cands[d], func(v graph.NodeID) int64 { return cfg.Freq[v] }, k)
+			out[d] = topByScore(cands[d], cfg.Freq, k)
 		}
 	case PolicyHotPartitionPlus1Hop:
 		cands := partitionCandidates(cfg.Assign, cfg.Devices, cfg.Graph)
 		for d := range out {
-			out[d] = topByScore(cands[d], func(v graph.NodeID) int64 { return cfg.Freq[v] }, k)
+			out[d] = topByScore(cands[d], cfg.Freq, k)
 		}
 	}
 	return out
@@ -103,7 +108,7 @@ func rankedLists(cfg SelectConfig, k int) [][]graph.NodeID {
 func Select(cfg SelectConfig) [][]graph.NodeID {
 	out := rankedLists(cfg, cfg.CapacityNodes)
 	for d := range out {
-		sort.Slice(out[d], func(i, j int) bool { return out[d][i] < out[d][j] })
+		slices.Sort(out[d])
 	}
 	return out
 }
@@ -125,8 +130,8 @@ func SelectTiered(cfg SelectConfig, warmNodes int) (hot, warm [][]graph.NodeID) 
 			h = h[:cfg.CapacityNodes]
 		}
 		hot[d] = h
-		sort.Slice(hot[d], func(i, j int) bool { return hot[d][i] < hot[d][j] })
-		sort.Slice(warm[d], func(i, j int) bool { return warm[d][i] < warm[d][j] })
+		slices.Sort(hot[d])
+		slices.Sort(warm[d])
 	}
 	return hot, warm
 }
@@ -150,16 +155,17 @@ func partitionCandidates(assign []int32, devices int, g *graph.Graph) [][]graph.
 	if g == nil {
 		return cands
 	}
+	listed := make([]int32, g.NumNodes()) // listed[v] == d+1: v is in cands[d]
 	for d := range cands {
-		seen := make(map[graph.NodeID]struct{}, len(cands[d])*2)
-		for _, v := range cands[d] {
-			seen[v] = struct{}{}
-		}
+		mark := int32(d + 1)
 		base := cands[d]
 		for _, v := range base {
+			listed[v] = mark
+		}
+		for _, v := range base {
 			for _, u := range g.Neighbors(v) {
-				if _, ok := seen[u]; !ok {
-					seen[u] = struct{}{}
+				if listed[u] != mark {
+					listed[u] = mark
 					cands[d] = append(cands[d], u)
 				}
 			}
@@ -170,17 +176,24 @@ func partitionCandidates(assign []int32, devices int, g *graph.Graph) [][]graph.
 
 // topByScore returns up to k candidates with the highest score,
 // breaking ties by node ID for determinism.
-func topByScore(cands []graph.NodeID, score func(graph.NodeID) int64, k int) []graph.NodeID {
-	sorted := append([]graph.NodeID(nil), cands...)
-	sort.Slice(sorted, func(i, j int) bool {
-		si, sj := score(sorted[i]), score(sorted[j])
-		if si != sj {
-			return si > sj
-		}
-		return sorted[i] < sorted[j]
-	})
-	if len(sorted) > k {
-		sorted = sorted[:k]
+func topByScore(cands []graph.NodeID, score []int64, k int) []graph.NodeID {
+	type key struct {
+		score int64
+		v     graph.NodeID
 	}
-	return sorted
+	keys := make([]key, len(cands))
+	for i, v := range cands {
+		keys[i] = key{score[v], v}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.score != b.score {
+			return cmp.Compare(b.score, a.score)
+		}
+		return cmp.Compare(a.v, b.v)
+	})
+	top := make([]graph.NodeID, min(k, len(keys)))
+	for i := range top {
+		top[i] = keys[i].v
+	}
+	return top
 }
